@@ -20,7 +20,10 @@ Before submission the parent resolves every workload's cost vector
 (persistent cache hit or one computation) so pool workers receive a
 precomputed profile inside the pickled workload and never re-derive
 the grid; the Mandelbrot column memo is explicitly *excluded* from the
-pickle (see ``MandelbrotWorkload.__getstate__``).
+pickle (see ``MandelbrotWorkload.__getstate__``).  Results travel back
+pickled with their chunk trace as plain field rows (see
+:class:`~repro.simulation.metrics.LazyChunkList`), never as one
+object per chunk, so the return pipe costs about one tuple per chunk.
 
 ``n_jobs`` resolution: an explicit positive integer wins; ``0`` or
 ``None`` means "all cores" (``REPRO_JOBS`` overrides the core count).
@@ -329,10 +332,12 @@ def stream_batch(
       ``2 x workers``) are submitted ahead of the consumer, so a
       million-job sweep holds a handful of futures, not a million.
     * **Incremental persistence** -- ``persist="sweep.jsonl"`` appends
-      one flushed JSON line per finished job (``SimResult.to_dict``
-      round-trips exactly; ``obs_events`` traces are not persisted).
+      one flushed JSON line per finished job (``SimResult.to_dict``,
+      chunks as 7-field rows, round-trips exactly; ``obs_events``
+      traces are not persisted).
     * **Resume** -- ``resume=True`` loads the existing file and yields
-      persisted results (rebuilt via :meth:`SimResult.from_dict`) for
+      persisted results (rebuilt via :meth:`SimResult.from_dict`,
+      which also reads files written with one object per chunk) for
       any job whose :meth:`SimJob.key` already appears, running only
       the remainder.
     * **Interrupt safety** -- ``KeyboardInterrupt`` or ``SIGTERM``

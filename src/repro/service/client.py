@@ -14,7 +14,7 @@ Typical use::
                            "workload": {"kind": "uniform",
                                         "size": 200, "unit": 1e-4}})
         result = c.wait(job_id)
-        print(result["digest"], result["result"]["makespan"])
+        print(result["digest"], result["result"]["t_p"])
 """
 
 from __future__ import annotations

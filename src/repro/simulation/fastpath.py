@@ -758,7 +758,9 @@ def run_fast_decentral(sim) -> SimResult:
             acc_comp[i] += finish - resume
             acc_chunks[i] += 1
             acc_iters[i] += stop - start
-            rows.append((i, start, stop, resume, finish, stages[index]))
+            # Full 7-field row: decentral claims carry no ACP.
+            rows.append((i, start, stop, resume, finish, stages[index],
+                         None))
             if finish > t_p:
                 t_p = finish
             if collect:

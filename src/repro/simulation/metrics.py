@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult",
-    "imbalance",
+    "WorkerMetrics", "ChunkRecord", "CHUNK_FIELDS", "LazyChunkList",
+    "SimResult", "imbalance",
 ]
 
 
@@ -76,24 +77,42 @@ class ChunkRecord(object):
         return self.stop - self.start
 
 
-class LazyChunkList(object):
-    """Sequence of :class:`ChunkRecord` materialized on first access.
+#: Field order of a chunk row -- the tuple form of :class:`ChunkRecord`
+#: that results carry across every boundary (pickle, JSON, the wire).
+CHUNK_FIELDS = tuple(f.name for f in dataclasses.fields(ChunkRecord))
 
-    The analytic fast path produces one record per chunk, and once its
-    event loop is lean, record construction dominates the per-chunk
-    cost.  At million-run sweep scale most results only read ``t_p``
-    and the worker metrics, never the per-chunk trace -- so the fast
-    path stores the raw field rows and this wrapper builds the real
-    :class:`ChunkRecord` objects only when someone actually touches
-    them.  Materialization is exact (rows hold the final field values,
-    in final order) and happens at most once.
+_record_row = attrgetter(*CHUNK_FIELDS)
+
+
+class LazyChunkList(object):
+    """The chunk trace of a :class:`SimResult`: rows or records.
+
+    The container holds either raw field rows -- tuples in
+    :data:`CHUNK_FIELDS` order, as the analytic fast path and every
+    decoded result produce them -- or the :class:`ChunkRecord` list a
+    DES engine built.  Row-backed lists build the real records only
+    when someone touches them (most sweep results only read ``t_p``
+    and the worker metrics), exactly and at most once.  Every
+    boundary a result crosses uses :meth:`rows`: pickling and
+    :meth:`SimResult.to_dict` never construct per-chunk objects.
     """
 
     __slots__ = ("_rows", "_records")
 
-    def __init__(self, rows: list[tuple]):
-        self._rows = rows
-        self._records: Optional[list[ChunkRecord]] = None
+    def __init__(self, rows: Optional[list[tuple]] = None,
+                 records: Optional[list[ChunkRecord]] = None):
+        # Takes ownership of whichever list it is given.
+        if records is None and rows is None:
+            rows = []
+        self._rows = None if records is not None else rows
+        self._records = records
+
+    def rows(self) -> list[tuple]:
+        """The chunks as full 7-field tuples, in :data:`CHUNK_FIELDS`
+        order (read-only: it may be the container's own list)."""
+        if self._rows is None:
+            return list(map(_record_row, self._records))
+        return self._rows
 
     def _materialize(self) -> list[ChunkRecord]:
         records = self._records
@@ -126,19 +145,24 @@ class LazyChunkList(object):
         return repr(self._materialize())
 
     def __reduce__(self):
-        # Pickles (e.g. crossing a process pool) as a plain list of
-        # records -- consumers only rely on the sequence protocol.
-        return (list, (self._materialize(),))
+        # Pickles (e.g. crossing a process pool) as its rows: one
+        # tuple per chunk, no per-record objects on either side.
+        return (LazyChunkList, (self.rows(),))
 
 
 @dataclasses.dataclass
 class SimResult(object):
-    """Everything a simulated run produced."""
+    """Everything a simulated run produced.
+
+    ``chunks`` is always a :class:`LazyChunkList`; a plain list of
+    :class:`ChunkRecord` (what the DES engines build) is wrapped on
+    construction.
+    """
 
     scheme: str
     workers: list[WorkerMetrics]
     t_p: float
-    chunks: list[ChunkRecord]
+    chunks: LazyChunkList
     results: Optional[np.ndarray] = None
     rederivations: int = 0
     events: int = 0
@@ -146,6 +170,10 @@ class SimResult(object):
     #: when the run was asked to collect one; ``events`` above predates
     #: the trace layer and counts *simulator queue* events, not these.
     obs_events: Optional[list] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.chunks, LazyChunkList):
+            self.chunks = LazyChunkList(records=list(self.chunks))
 
     @property
     def total_iterations(self) -> int:
@@ -174,6 +202,14 @@ class SimResult(object):
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-safe dict; exact round trip via :meth:`from_dict`.
 
+        ``"chunks"`` is one row per chunk: ``[worker, start, stop,
+        assigned_at, completed_at, stage, acp]`` (:data:`CHUNK_FIELDS`
+        order, always seven entries, ``acp`` null when absent).  The
+        list is the result's own row list (treat it as read-only);
+        ``json`` writes its tuples as arrays.
+        ``"workers"`` is one object per PE, keyed by the
+        :class:`WorkerMetrics` field names.
+
         Floats survive JSON exactly (``repr`` round-trips doubles in
         Python 3), so a persisted result is bit-identical after
         reload.  ``obs_events`` is intentionally excluded -- traces
@@ -185,8 +221,8 @@ class SimResult(object):
             "t_p": self.t_p,
             "rederivations": self.rederivations,
             "events": self.events,
-            "workers": [dataclasses.asdict(w) for w in self.workers],
-            "chunks": [dataclasses.asdict(c) for c in self.chunks],
+            "workers": [dict(vars(w)) for w in self.workers],
+            "chunks": self.chunks.rows(),
         }
         if include_results and self.results is not None:
             d["results"] = self.results.tolist()
@@ -194,13 +230,23 @@ class SimResult(object):
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":
-        """Rebuild a result persisted with :meth:`to_dict`."""
+        """Rebuild a result persisted with :meth:`to_dict`.
+
+        Also reads the older form that stored each chunk as an object
+        keyed by field name, so sweeps persisted before the row format
+        still resume.
+        """
+        chunks = d["chunks"]
+        if chunks and isinstance(chunks[0], dict):
+            chunks = [ChunkRecord(**c) for c in chunks]
+        else:
+            chunks = LazyChunkList(list(map(tuple, chunks)))
         results = d.get("results")
         return cls(
             scheme=d["scheme"],
             workers=[WorkerMetrics(**w) for w in d["workers"]],
             t_p=d["t_p"],
-            chunks=[ChunkRecord(**c) for c in d["chunks"]],
+            chunks=chunks,
             results=(
                 None if results is None
                 else np.asarray(results, dtype=float)

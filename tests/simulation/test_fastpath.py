@@ -35,6 +35,8 @@ from repro.simulation.engine import simulate
 from repro.simulation.loadgen import PeriodicLoad, RandomLoad
 from repro.workloads import MandelbrotWorkload
 
+from .test_result_encoding import assert_roundtrip
+
 
 def assert_identical(a, b, tag=""):
     """Field-by-field exact equality of two SimResults."""
@@ -107,6 +109,8 @@ def test_master_bit_identity(workload, scheme, loadshape):
                  collect_results=True)
     assert_identical(a, b, f"{loadshape}/{scheme}")
     assert np.array_equal(a.results, b.results)
+    assert_roundtrip(a, f"fast/{loadshape}/{scheme}")
+    assert_roundtrip(b, f"des/{loadshape}/{scheme}")
 
 
 @pytest.mark.parametrize("overloaded", [(), (0, 3)])
@@ -131,6 +135,7 @@ def test_feedback_dependent_schemes_refuse_fast(workload, scheme):
     a = simulate(scheme, workload, cluster, fast="auto")
     b = simulate(scheme, workload, cluster, fast=False)
     assert_identical(a, b, f"auto-fallback/{scheme}")
+    assert_roundtrip(b, f"des/{scheme}")
 
 
 def test_master_scheduler_instance_and_factory(workload):
@@ -162,6 +167,8 @@ def test_decentral_bit_identity(workload, scheme, mode):
                            collect_results=True, **mode)
     assert_identical(a, b, f"dec/{scheme}/{mode}")
     assert np.array_equal(a.results, b.results)
+    assert_roundtrip(a, f"dec-fast/{scheme}/{mode}")
+    assert_roundtrip(b, f"dec-des/{scheme}/{mode}")
 
 
 # -- selection rules -------------------------------------------------------

@@ -325,6 +325,66 @@ class TestStreamBatch:
         assert [result_rows(r) for r in resumed] \
             == [result_rows(r) for r in run_batch(jobs)]
 
+    def test_resume_reads_records_with_one_object_per_chunk(
+        self, tmp_path
+    ):
+        """A sweep persisted before chunk rows (one JSON object per
+        chunk) resumes to the same results, and a file mixing both
+        forms resumes without re-running anything."""
+        jobs = small_jobs(3)
+        fresh = run_batch(jobs)
+        path = str(tmp_path / "sweep.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for idx, (job, res) in enumerate(zip(jobs[:2], fresh)):
+                fh.write(json.dumps({
+                    "key": job.key, "index": idx, "scheme": job.scheme,
+                    "engine": job.engine, "tag": job.tag,
+                    "result": {
+                        "scheme": res.scheme, "t_p": res.t_p,
+                        "rederivations": res.rederivations,
+                        "events": res.events,
+                        "workers": [
+                            {"name": w.name, "t_com": w.t_com,
+                             "t_wait": w.t_wait, "t_comp": w.t_comp,
+                             "chunks": w.chunks,
+                             "iterations": w.iterations,
+                             "finished_at": w.finished_at}
+                            for w in res.workers
+                        ],
+                        "chunks": [
+                            {"worker": c.worker, "start": c.start,
+                             "stop": c.stop,
+                             "assigned_at": c.assigned_at,
+                             "completed_at": c.completed_at,
+                             "stage": c.stage, "acp": c.acp}
+                            for c in res.chunks
+                        ],
+                    },
+                }) + "\n")
+        runs = []
+        original = SimJob.run
+
+        def counting_run(self):
+            runs.append(self.tag)
+            return original(self)
+
+        try:
+            SimJob.run = counting_run
+            resumed = run_batch(jobs, persist=path, resume=True)
+            again = run_batch(jobs, persist=path, resume=True)
+        finally:
+            SimJob.run = original
+        assert runs == ["j2"]
+        for got in (resumed, again):
+            for a, b in zip(fresh, got):
+                assert result_rows(a) == result_rows(b)
+                assert list(a.chunks) == list(b.chunks)
+                assert a.workers == b.workers
+        lines = open(path, encoding="utf-8").read().splitlines()
+        assert len(lines) == 3
+        assert isinstance(json.loads(lines[2])["result"]["chunks"][0],
+                          list)
+
     def test_interrupt_flushes_results_and_manifest(self, tmp_path):
         """A sweep killed mid-run persists everything finished plus a
         complete=false manifest, and resume finishes the job."""
